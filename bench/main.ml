@@ -348,7 +348,8 @@ type cache_bench_result = {
   cb_workers : int;
   cb_suite_jobs : int;
   cb_cold_j1 : float;   (* fresh store, sequential *)
-  cb_cold_jn : float;   (* fresh store, -j N domain pool *)
+  cb_cold_jn : float option;
+      (* fresh store, -j N domain pool; None when N = 1 *)
   cb_warm : float;      (* warm store: must be fully cache-hot *)
 }
 
@@ -387,11 +388,19 @@ let run_cache_bench ~size ~workers =
     (fun () ->
       Printf.eprintf "cache-bench: cold prefetch, -j 1\n%!";
       let cold_j1, _, _, njobs = prefetch_with ~dir:dir1 ~workers:1 in
-      Printf.eprintf "cache-bench: cold prefetch, -j %d\n%!" workers;
-      let cold_jn, _, _, _ = prefetch_with ~dir:dirn ~workers in
+      (* one worker: the -j 1 run is the only cold run, and the warm run
+         reads its store *)
+      let cold_jn, warm_dir =
+        if workers <= 1 then (None, dir1)
+        else begin
+          Printf.eprintf "cache-bench: cold prefetch, -j %d\n%!" workers;
+          let cold_jn, _, _, _ = prefetch_with ~dir:dirn ~workers in
+          (Some cold_jn, dirn)
+        end
+      in
       Printf.eprintf "cache-bench: warm prefetch against the -j %d store\n%!"
         workers;
-      let warm, tr, an, _ = prefetch_with ~dir:dirn ~workers in
+      let warm, tr, an, _ = prefetch_with ~dir:warm_dir ~workers in
       if tr > 0 || an > 0 then begin
         Printf.eprintf
           "cache-bench: warm run recomputed (%d simulations, %d fused \
@@ -400,9 +409,13 @@ let run_cache_bench ~size ~workers =
         exit 1
       end;
       Printf.printf
-        "cache bench (%d suite jobs): cold -j1 %.2fs, cold -j%d %.2fs, warm \
-         %.2fs (warm is cache-hot, %.1fx over cold -j1)\n"
-        njobs cold_j1 workers cold_jn warm
+        "cache bench (%d suite jobs): cold -j1 %.2fs,%s warm %.2fs (warm is \
+         cache-hot, %.1fx over cold -j1)\n"
+        njobs cold_j1
+        (match cold_jn with
+        | Some t -> Printf.sprintf " cold -j%d %.2fs," workers t
+        | None -> "")
+        warm
         (if warm > 0.0 then cold_j1 /. warm else 0.0);
       { cb_workers = workers; cb_suite_jobs = njobs; cb_cold_j1 = cold_j1;
         cb_cold_jn = cold_jn; cb_warm = warm })
@@ -1318,19 +1331,26 @@ let write_bench_json path ~size ~sections ~micro ~cache ~serve ~cluster
     | Some c ->
         [ ( "cache",
             Obj
-              [ ("workers", Int c.cb_workers);
-                ("suite_jobs", Int c.cb_suite_jobs);
-                ("cold_j1_seconds", Float c.cb_cold_j1);
-                ( Printf.sprintf "cold_j%d_seconds" c.cb_workers,
-                  Float c.cb_cold_jn );
-                ("warm_seconds", Float c.cb_warm);
-                ( "parallel_speedup",
-                  if c.cb_cold_jn > 0.0 then Float (c.cb_cold_j1 /. c.cb_cold_jn)
-                  else Null );
+              ([ ("workers", Int c.cb_workers);
+                 ("suite_jobs", Int c.cb_suite_jobs);
+                 ("cold_j1_seconds", Float c.cb_cold_j1) ]
+              @ (match c.cb_cold_jn with
+                | Some jn ->
+                    [ (Printf.sprintf "cold_j%d_seconds" c.cb_workers, Float jn);
+                      ( "parallel_speedup",
+                        if jn > 0.0 then Float (c.cb_cold_j1 /. jn) else Null ) ]
+                | None ->
+                    (* a single worker measures no scaling *)
+                    let reason =
+                      if Domain.recommended_domain_count () = 1 then "cores=1"
+                      else "workers=1"
+                    in
+                    [ ("parallel_speedup", Obj [ ("skipped", String reason) ]) ])
+              @ [ ("warm_seconds", Float c.cb_warm);
                 ( "warm_speedup",
                   if c.cb_warm > 0.0 then Float (c.cb_cold_j1 /. c.cb_warm)
                   else Null );
-                ("warm_run_cache_hot", Bool true) ] ) ]
+                ("warm_run_cache_hot", Bool true) ]) ) ]
   in
   let serve_fields =
     match serve with

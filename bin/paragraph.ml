@@ -213,6 +213,10 @@ let branch_arg =
 
 let config_term =
   let make optimistic renaming window fu branch =
+    (match fu with
+    | Some k when k < 1 ->
+        die "--fu must be at least 1 functional unit (got %d)" k
+    | Some _ | None -> ());
     {
       Config.default with
       syscall_stall = not optimistic;

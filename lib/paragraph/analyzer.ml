@@ -40,7 +40,6 @@ type t = {
   config : Config.t;
   lat : int array;                   (* opclass tag -> latency *)
   storage_dep : bool array;          (* storage-class tag -> deps apply *)
-  ops : Opclass.t array;             (* opclass tag -> class, for Resources *)
   live_well : Live_well.t;
   mutable profile : Profile.t;  (* fused runs install a rebuilt histogram *)
   liveness : Intervals.t;
@@ -64,13 +63,22 @@ type t = {
 }
 
 let create_sized ~live_well_capacity (config : Config.t) =
+  let lat = Config.latency_table config in
+  (* the resource pools forget levels below the placement floor, which
+     is exact only while no operation completes before it is ready *)
+  Array.iteri
+    (fun tag l ->
+      if l < 0 then
+        invalid_arg
+          (Printf.sprintf "Analyzer.create: negative latency %d for %s" l
+             (Opclass.to_string (Opclass.of_tag tag))))
+    lat;
   let resources = Resources.create config.fu in
   let predictor = Branch_pred.create config.branch in
   {
     config;
-    lat = Config.latency_table config;
+    lat;
     storage_dep = Config.storage_dependency_table config;
-    ops = Array.init Opclass.count Opclass.of_tag;
     live_well = Live_well.create ~capacity:live_well_capacity ();
     profile = Profile.create ();
     liveness = Intervals.create ();
@@ -213,7 +221,7 @@ let place_row t classes ~tag ~d ~s0 ~s1 ~s2 ~extra =
   in
   let level =
     if t.resources_unlimited then level
-    else Resources.place t.resources (Array.unsafe_get t.ops tag) level
+    else Resources.place t.resources ~floor:hl1 ~tag level
   in
   Profile.add t.profile level;
   t.placed <- t.placed + 1;
@@ -879,8 +887,7 @@ let fused_group configs trace =
               in
               let level =
                 if t.resources_unlimited then level
-                else
-                  Resources.place t.resources (Array.unsafe_get t.ops tag) level
+                else Resources.place t.resources ~floor:hl1 ~tag level
               in
               (let counts = Array.unsafe_get pcounts j in
                let idx = level lsr Array.unsafe_get pshift j in

@@ -141,7 +141,9 @@ let place b trace_index (e : Ddg_sim.Trace.event) =
   in
   let level =
     if Resources.unlimited b.resources then level
-    else Resources.place b.resources e.op_class level
+    else
+      Resources.place b.resources ~floor:(b.highest_level - 1)
+        ~tag:(Opclass.to_tag e.op_class) level
   in
   let node = fresh_node b trace_index e level in
   List.iter
@@ -222,6 +224,13 @@ let feed b trace_index (e : Ddg_sim.Trace.event) =
       window_admit b level (b.next_id - 1)
 
 let build config trace =
+  List.iter
+    (fun cls ->
+      if config.Config.latency cls < 0 then
+        invalid_arg
+          (Printf.sprintf "Ddg.build: negative latency for %s"
+             (Opclass.to_string cls)))
+    Opclass.all;
   let b =
     {
       config;

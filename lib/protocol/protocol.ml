@@ -250,6 +250,13 @@ let c_float c =
 
 let c_opt_varint c = if c_bool c then Some (c_varint c) else None
 
+(* a functional-unit pool holds at least one unit: zero could never place
+   an operation, so it fails the frame like any other malformed field *)
+let c_units c =
+  match c_opt_varint c with
+  | Some 0 -> fail "functional-unit count 0 (need at least 1)"
+  | units -> units
+
 (* --- analysis configurations ------------------------------------------------ *)
 
 let e_config b (cfg : Ddg_paragraph.Config.t) =
@@ -281,10 +288,10 @@ let c_config c : Ddg_paragraph.Config.t =
   let stack = c_bool c in
   let data = c_bool c in
   let window = c_opt_varint c in
-  let total = c_opt_varint c in
-  let int_units = c_opt_varint c in
-  let fp_units = c_opt_varint c in
-  let mem_units = c_opt_varint c in
+  let total = c_units c in
+  let int_units = c_units c in
+  let fp_units = c_units c in
+  let mem_units = c_units c in
   let branch =
     match c_varint c with
     | 0 -> Ddg_paragraph.Config.Perfect

@@ -28,6 +28,18 @@ let float_repr x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
   else Printf.sprintf "%.12g" x
 
+(* A JSON reader keeps one of two equal keys without a word, so two
+   values under one name are a bug in the emitter, not output. *)
+let check_unique_keys fields =
+  let keys = List.sort compare (List.map fst fields) in
+  let rec scan = function
+    | a :: (b :: _ as rest) ->
+        if a = b then invalid_arg ("Json.to_string: duplicate key " ^ a);
+        scan rest
+    | [ _ ] | [] -> ()
+  in
+  scan keys
+
 let to_string ?(minify = false) t =
   let buf = Buffer.create 256 in
   let newline indent =
@@ -61,6 +73,7 @@ let to_string ?(minify = false) t =
         Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
+        check_unique_keys fields;
         Buffer.add_char buf '{';
         List.iteri
           (fun i (key, value) ->

@@ -112,6 +112,32 @@ let test_figure4_resources () =
   Alcotest.(check bool) "resources can only deepen" true
     (Ddg.critical_path ddg >= 4)
 
+(* A pool with no units could never place an operation, and a negative
+   latency would complete an op below the placement floor the pools
+   prune to: both are rejected when the analysis is set up. *)
+let test_invalid_resources_rejected () =
+  let invalid what f =
+    match f () with
+    | (_ : Analyzer.stats) -> Alcotest.failf "%s was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let trace = trace_of figure1 in
+  List.iter
+    (fun fu ->
+      invalid (Config.describe (Config.with_fu fu Config.default)) (fun () ->
+          Analyzer.analyze (Config.with_fu fu Config.default) trace))
+    [ { Config.unlimited_fu with total = Some 0 };
+      { Config.unlimited_fu with int_units = Some (-1) };
+      { Config.unlimited_fu with fp_units = Some 0 } ];
+  let negative =
+    { Config.default with
+      latency = (fun c -> if c = Ddg_isa.Opclass.Int_alu then -1 else 1) }
+  in
+  invalid "negative latency" (fun () -> Analyzer.analyze negative trace);
+  match Ddg.build negative trace with
+  | (_ : Ddg.t) -> Alcotest.fail "Ddg.build accepted a negative latency"
+  | exception Invalid_argument _ -> ()
+
 (* --- explicit DDG ------------------------------------------------------- *)
 
 let test_ddg_matches_analyzer_fig1 () =
@@ -490,4 +516,6 @@ let tests =
     Alcotest.test_case "mispredicts deepen" `Quick
       test_branch_mispredicts_deepen;
     Alcotest.test_case "2-bit predictor learns" `Quick test_two_bit_learns;
-    Alcotest.test_case "config describe" `Quick test_describe ]
+    Alcotest.test_case "config describe" `Quick test_describe;
+    Alcotest.test_case "unit counts below 1 and negative latencies rejected"
+      `Quick test_invalid_resources_rejected ]

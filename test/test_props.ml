@@ -98,6 +98,12 @@ let gen_config =
   let* syscall_stall = bool in
   let* window = oneofl [ None; Some 1; Some 2; Some 5; Some 16; Some 64 ] in
   let* total_fu = oneofl [ None; Some 1; Some 2; Some 4 ] in
+  (* class pools too, so a limited op often draws on two pools at once
+     and placement takes the multi-pool fixpoint *)
+  let class_units = oneofl [ None; Some 1; Some 2 ] in
+  let* int_units = class_units
+  and* fp_units = class_units
+  and* mem_units = class_units in
   let* branch =
     oneofl
       [ Config.Perfect; Config.Predict_taken; Config.Predict_not_taken;
@@ -109,7 +115,7 @@ let gen_config =
       renaming = { Config.registers; stack; data };
       syscall_stall;
       window;
-      fu = { Config.unlimited_fu with total = total_fu };
+      fu = { Config.total = total_fu; int_units; fp_units; mem_units };
       branch;
     }
 
@@ -197,6 +203,114 @@ let prop_fu_bound =
       let fu = { Config.unlimited_fu with total = Some 2 } in
       let ddg = Ddg.build Config.(with_fu fu default) (Trace.of_list events) in
       Array.for_all (fun k -> k <= 2) (Ddg.ops_per_level ddg))
+
+(* Every pool caps its own classes: per level, the ops of each class group
+   stay within that group's limit, and all ops within the total. *)
+let prop_class_fu_bound =
+  QCheck.Test.make ~name:"class limit bounds class ops per level" ~count:300
+    arb_trace_and_config (fun (events, config) ->
+      let ddg = Ddg.build config (Trace.of_list events) in
+      let group (cls : Opclass.t) =
+        match cls with
+        | Int_alu | Int_multiply | Int_divide -> 0
+        | Fp_add_sub | Fp_multiply | Fp_divide -> 1
+        | Load_store -> 2
+        | Syscall | Control -> 3
+      in
+      let depth = Ddg.critical_path ddg + 1 in
+      let counts = Array.make_matrix 5 depth 0 in
+      Array.iter
+        (fun (n : Ddg.node) ->
+          let g = group n.op_class in
+          counts.(g).(n.level) <- counts.(g).(n.level) + 1;
+          counts.(4).(n.level) <- counts.(4).(n.level) + 1)
+        (Ddg.nodes ddg);
+      let within limit row =
+        match limit with
+        | None -> true
+        | Some k -> Array.for_all (fun c -> c <= k) row
+      in
+      let fu = config.fu in
+      within fu.int_units counts.(0)
+      && within fu.fp_units counts.(1)
+      && within fu.mem_units counts.(2)
+      && within fu.total counts.(4))
+
+(* The pool against a naive reference: a per-level count table per pool
+   and a linear first-fit scan for a level with room in every pool the
+   class draws on. Driven by random (class, ready level, floor) steps
+   whose floor only rises — by small steps, or by a jump past everything
+   placed so far, as a firewall does — so the dense pool's link
+   compression, growth and base sliding all run. *)
+let arb_pool_run =
+  let open QCheck.Gen in
+  let units = oneofl [ None; Some 1; Some 2; Some 3 ] in
+  let limits =
+    let* total = units and* int_units = units and* fp_units = units
+    and* mem_units = units in
+    return { Config.total; int_units; fp_units; mem_units }
+  in
+  let step =
+    let* tag = int_range 0 (Opclass.count - 1) in
+    let* ready =
+      frequency [ (3, return 0); (5, int_range 0 8); (1, int_range 0 200) ]
+    in
+    (* -1: a firewall, the floor jumps past every level placed so far *)
+    let* rise =
+      frequency [ (12, return 0); (3, int_range 1 3); (1, return (-1)) ]
+    in
+    return (tag, ready, rise)
+  in
+  QCheck.make
+    (pair limits (list_size (int_range 0 2000) step))
+    ~print:(fun ((l : Config.fu_limits), steps) ->
+      let o = function None -> "-" | Some k -> string_of_int k in
+      Printf.sprintf "total=%s int=%s fp=%s mem=%s; %d steps" (o l.total)
+        (o l.int_units) (o l.fp_units) (o l.mem_units) (List.length steps))
+
+let prop_pool_matches_reference =
+  QCheck.Test.make ~name:"dense FU pool equals naive first-fit" ~count:300
+    arb_pool_run (fun ((limits : Config.fu_limits), steps) ->
+      let pool = Resources.create limits in
+      (* the (reference pool, capacity) pairs an op of class [tag] draws on *)
+      let pools_of tag =
+        let cls, cls_limit =
+          match Opclass.of_tag tag with
+          | Int_alu | Int_multiply | Int_divide -> (1, limits.int_units)
+          | Fp_add_sub | Fp_multiply | Fp_divide -> (2, limits.fp_units)
+          | Load_store -> (3, limits.mem_units)
+          | Syscall | Control -> (4, None)
+        in
+        List.filter_map
+          (fun (i, lim) -> Option.map (fun cap -> (i, cap)) lim)
+          [ (0, limits.total); (cls, cls_limit) ]
+      in
+      (* (pool, level) -> units in use *)
+      let used = Hashtbl.create 64 in
+      let count key = Option.value ~default:0 (Hashtbl.find_opt used key) in
+      let reference tag ready =
+        let pools = pools_of tag in
+        let rec scan l =
+          if List.for_all (fun (i, cap) -> count (i, l) < cap) pools then l
+          else scan (l + 1)
+        in
+        let l = scan ready in
+        List.iter
+          (fun (i, _) -> Hashtbl.replace used (i, l) (count (i, l) + 1))
+          pools;
+        l
+      in
+      let floor = ref (-1) and deepest = ref (-1) in
+      List.for_all
+        (fun (tag, ready, rise) ->
+          if rise < 0 then floor := max !floor (!deepest + 1)
+          else floor := !floor + rise;
+          let ready = !floor + ready in
+          let got = Resources.place pool ~floor:!floor ~tag ready in
+          let want = reference tag ready in
+          deepest := max !deepest got;
+          got = want)
+        steps)
 
 let prop_critical_path_bounds =
   QCheck.Test.make ~name:"critical path bounded by serial execution"
@@ -491,4 +605,6 @@ let tests =
       prop_dist_invariants;
       prop_profile_coalescing;
       prop_profile_series_sums;
-      prop_window_fifo ]
+      prop_window_fifo;
+      prop_class_fu_bound;
+      prop_pool_matches_reference ]

@@ -117,6 +117,21 @@ let test_json () =
   Alcotest.(check bool) "pretty has newlines" true
     (String.contains pretty '\n')
 
+let test_json_duplicate_key () =
+  let open Json in
+  let dup = Obj [ ("a", Int 1); ("b", Int 2); ("a", Float 2.5) ] in
+  (match to_string dup with
+  | (_ : string) -> Alcotest.fail "duplicate key emitted"
+  | exception Invalid_argument _ -> ());
+  (* nested objects are checked too; equal keys in sibling objects are
+     fine *)
+  (match to_string ~minify:true (List [ Obj [ ("x", dup) ] ]) with
+  | (_ : string) -> Alcotest.fail "nested duplicate key emitted"
+  | exception Invalid_argument _ -> ());
+  check_str "siblings may share keys" {|[{"a":1},{"a":2}]|}
+    (to_string ~minify:true
+       (List [ Obj [ ("a", Int 1) ]; Obj [ ("a", Int 2) ] ]))
+
 let tests =
   [ Alcotest.test_case "int cells" `Quick test_int_cell;
     Alcotest.test_case "float cells" `Quick test_float_cell;
@@ -132,4 +147,6 @@ let tests =
     Alcotest.test_case "scatter drops nonpositive" `Quick
       test_scatter_drops_nonpositive;
     Alcotest.test_case "sparkline" `Quick test_sparkline;
-    Alcotest.test_case "json" `Quick test_json ]
+    Alcotest.test_case "json" `Quick test_json;
+    Alcotest.test_case "json rejects duplicate keys" `Quick
+      test_json_duplicate_key ]

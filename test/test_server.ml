@@ -249,6 +249,74 @@ let test_garbage_gets_bad_frame () =
           | Protocol.Pong -> ()
           | _ -> Alcotest.fail "expected Pong after garbage connection"))
 
+(* A config with zero functional units in any pool fails the frame at
+   decode, before any analyzer sees it: the caller gets the typed
+   Bad_frame error, never Internal, and the daemon keeps serving. *)
+let test_zero_units_rejected_typed () =
+  with_server (fun endpoint _server ->
+      let zero =
+        [ { Ddg_paragraph.Config.unlimited_fu with total = Some 0 };
+          { Ddg_paragraph.Config.unlimited_fu with mem_units = Some 0 } ]
+      in
+      List.iter
+        (fun fu ->
+          let config = Ddg_paragraph.Config.(with_fu fu default) in
+          Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+              match
+                Client.request client
+                  (Protocol.Analyze { workload = "eqnx"; config })
+              with
+              | (_ : Protocol.response) ->
+                  Alcotest.fail "a zero-unit config was analyzed"
+              | exception
+                  Client.Server_error { code = Protocol.Bad_frame; _ } ->
+                  ()))
+        zero;
+      Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
+          match Client.request client (Protocol.Ping { delay_ms = 0 }) with
+          | Protocol.Pong -> ()
+          | _ -> Alcotest.fail "expected Pong after zero-unit requests"))
+
+(* The CLI turns a unit count below 1 into a one-line usage error with
+   exit status 2, before any work starts. *)
+let test_cli_rejects_zero_units () =
+  let exe =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "paragraph.exe")
+  in
+  List.iter
+    (fun flag ->
+      let err = Filename.temp_file "ddg-cli" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          let fd = Unix.openfile err [ O_WRONLY; O_TRUNC ] 0o600 in
+          let pid =
+            Fun.protect
+              ~finally:(fun () -> Unix.close fd)
+              (fun () ->
+                Unix.create_process exe
+                  [| exe; "analyze"; "eqnx"; flag |]
+                  Unix.stdin Unix.stdout fd)
+          in
+          let status = snd (Unix.waitpid [] pid) in
+          Alcotest.(check bool)
+            (Printf.sprintf "analyze eqnx %s exits 2" flag)
+            true
+            (status = Unix.WEXITED 2);
+          let lines =
+            In_channel.with_open_text err In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (( <> ) "")
+          in
+          match lines with
+          | [ line ] ->
+              Alcotest.(check bool) ("message names --fu: " ^ line) true
+                (String.starts_with ~prefix:"paragraph: --fu" line)
+          | _ -> Alcotest.failf "expected one line on stderr, got %d" (List.length lines)))
+    [ "--fu=0"; "--fu=-3" ]
+
 let test_protocol_version_mismatch () =
   with_server (fun endpoint _server ->
       Client.with_connection ~retry_for_s:5.0 endpoint (fun client ->
@@ -414,6 +482,10 @@ let tests =
       test_garbage_gets_bad_frame;
     Alcotest.test_case "protocol version mismatch refused" `Quick
       test_protocol_version_mismatch;
+    Alcotest.test_case "zero-unit config gets typed error" `Quick
+      test_zero_units_rejected_typed;
+    Alcotest.test_case "CLI rejects --fu below 1" `Quick
+      test_cli_rejects_zero_units;
     Alcotest.test_case "survives disconnect mid-request" `Quick
       test_survives_disconnect_mid_request;
     Alcotest.test_case "shutdown verb drains cleanly" `Quick

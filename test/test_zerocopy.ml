@@ -489,6 +489,75 @@ let test_bounded_memory_stream () =
                 (delta < 32 * 1024 * 1024)
           | _ -> (* procfs unavailable: the Gc ceiling above still held *) ()))
 
+(* The same synthetic stream with a conservative system call every 4096
+   events, analyzed under one universal functional unit: every op lands
+   on its own level, so the critical path runs as long as the trace, and
+   only the firewalls keep the unit pool small. The pool must forget the
+   levels below each firewall: the peak-RSS delta of the streamed
+   analysis stays under 32 MiB (a per-level table kept for the whole
+   trace would not), with the heap sampled at every major GC cycle as
+   the ceiling where procfs is unavailable. The stats must equal the
+   in-memory analysis of the mapped file. *)
+let test_bounded_memory_fu_stream () =
+  let events = 1_600_000 in
+  let config =
+    Config.with_fu { Config.unlimited_fu with total = Some 1 } Config.default
+  in
+  let path = Filename.temp_file "ddg-zerocopy-fu" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match
+        let fw = Trace_io.flat_writer ~events path in
+        for i = 0 to events - 1 do
+          Trace_io.flat_add fw
+            (if i land 4095 = 4095 then
+               { Trace.pc = i mod 997; op_class = Opclass.Syscall; dest = None;
+                 srcs = [ Loc.Reg 2 ]; branch = None }
+             else synthetic_event i)
+        done;
+        Trace_io.flat_close fw
+      with
+      | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> () (* skip: no disk *)
+      | () ->
+          Gc.compact ();
+          let baseline = (Gc.quick_stat ()).Gc.heap_words in
+          let worst = ref baseline in
+          let alarm =
+            Gc.create_alarm (fun () ->
+                let live = (Gc.quick_stat ()).Gc.heap_words in
+                if live > !worst then worst := live)
+          in
+          let armed = Obs.reset_peak_rss () in
+          let before = Obs.peak_rss_bytes () in
+          let streamed =
+            Fun.protect
+              ~finally:(fun () -> Gc.delete_alarm alarm)
+              (fun () -> Analyzer.analyze_stream ~verify:false config path)
+          in
+          let after = Obs.peak_rss_bytes () in
+          Alcotest.(check int) "every event analyzed" events
+            streamed.Analyzer.events;
+          Alcotest.(check bool) "critical path spans the trace" true
+            (streamed.Analyzer.critical_path > events / 2);
+          (match (armed, before, after) with
+          | true, Some before, Some after ->
+              let delta = after - before in
+              Alcotest.(check bool)
+                (Printf.sprintf "peak RSS delta %d B under 32 MiB" delta)
+                true
+                (delta < 32 * 1024 * 1024)
+          | _ ->
+              Alcotest.(check bool)
+                (Printf.sprintf "heap grew %d words, under 32 MiB"
+                   (!worst - baseline))
+                true
+                (!worst - baseline < 4 * 1024 * 1024));
+          Alcotest.(check string) "streamed stats equal the mapped analysis"
+            (Stats_codec.to_string
+               (Analyzer.analyze config (Trace_io.map_file ~verify:false path)))
+            (Stats_codec.to_string streamed))
+
 (* --- protocol: chunked fetch-through ------------------------------------------- *)
 
 let test_forward_range_frames_roundtrip () =
@@ -628,6 +697,8 @@ let tests =
       test_view_survives_fsck;
     Alcotest.test_case "streamed analysis stays in bounded memory" `Quick
       test_bounded_memory_stream;
+    Alcotest.test_case "FU-limited stream stays in bounded memory" `Quick
+      test_bounded_memory_fu_stream;
     Alcotest.test_case "forward-range frames round-trip" `Quick
       test_forward_range_frames_roundtrip;
     Alcotest.test_case "chunked fetch-through serves exact bytes" `Quick
